@@ -7,14 +7,13 @@
 //! evicts behind its back; at most O(1) pages per in-flight scan
 //! outlive their cache slot.
 //!
-//! Recency is tracked with a lazily invalidated queue: every touch
-//! pushes a fresh `(key, generation)` ticket and bumps the slot's
-//! generation; eviction pops tickets from the front and skips the
-//! stale ones. That keeps both `get` and `insert` O(1) amortized
-//! without a doubly linked list.
+//! Recency and eviction are the exact LRU of [`crate::lru`]: a key maps
+//! to the dense page id `page · (m + 2) + lane`, with lanes `0..m` for
+//! the columns' records, `m` for labels and `m + 1` for points.
 
-use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
+
+use crate::lru::Lru;
 
 /// One decoded column record: the value (already through
 /// `ord_key_inverse`) and its row id. 16 bytes in cache for 12 on
@@ -44,7 +43,7 @@ impl Page {
 }
 
 /// Which of the store's backing arrays a page belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum PageKind {
     /// `(key, row)` records of one column.
     Records,
@@ -56,17 +55,11 @@ pub(crate) enum PageKind {
 
 /// Cache key: (kind, column, page number). Labels/points ignore the
 /// column (stored as 0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct PageKey {
     pub kind: PageKind,
     pub col: u32,
     pub page: u64,
-}
-
-struct Slot {
-    page: Page,
-    generation: u64,
-    bytes: usize,
 }
 
 /// LRU page cache with a hard byte budget. The budget bounds what the
@@ -74,11 +67,9 @@ struct Slot {
 /// (evicting everything else if need be), so a budget smaller than one
 /// page degrades to cache-nothing rather than deadlock.
 pub(crate) struct PageCache {
-    budget: usize,
-    used: usize,
-    map: HashMap<PageKey, Slot>,
-    lru: VecDeque<(PageKey, u64)>,
-    next_generation: u64,
+    lru: Lru<Page>,
+    /// Lanes per page number: the `m` columns, labels, points.
+    lanes: usize,
     /// Fetches served from cache.
     pub hits: u64,
     /// Fetches that had to load from disk.
@@ -86,13 +77,12 @@ pub(crate) struct PageCache {
 }
 
 impl PageCache {
-    pub(crate) fn new(budget: usize) -> Self {
+    /// A cache for `n_pages` pages of each of an `m`-column pool's
+    /// arrays.
+    pub(crate) fn new(budget: usize, m: usize, n_pages: usize) -> Self {
         Self {
-            budget,
-            used: 0,
-            map: HashMap::new(),
-            lru: VecDeque::new(),
-            next_generation: 0,
+            lru: Lru::new(n_pages * (m + 2), budget),
+            lanes: m + 2,
             hits: 0,
             misses: 0,
         }
@@ -101,37 +91,22 @@ impl PageCache {
     /// Bytes currently retained.
     #[cfg(test)]
     pub(crate) fn used(&self) -> usize {
-        self.used
+        self.lru.used()
     }
 
-    fn ticket(&mut self) -> u64 {
-        let g = self.next_generation;
-        self.next_generation += 1;
-        g
-    }
-
-    /// Drops stale tickets once they outnumber the live ones. Without
-    /// this, a working set that fits the budget never evicts, so the
-    /// queue would grow by one ticket per touch — unbounded over a
-    /// long search. Retain preserves order, so recency is unchanged;
-    /// triggering at 2× live keeps the sweep amortized O(1) per touch.
-    fn compact(&mut self) {
-        if self.lru.len() > self.map.len() * 2 + 64 {
-            let map = &self.map;
-            self.lru
-                .retain(|&(key, g)| map.get(&key).is_some_and(|s| s.generation == g));
-        }
+    fn id(&self, key: PageKey) -> usize {
+        let lane = match key.kind {
+            PageKind::Records => key.col as usize,
+            PageKind::Labels => self.lanes - 2,
+            PageKind::Points => self.lanes - 1,
+        };
+        key.page as usize * self.lanes + lane
     }
 
     /// Looks a page up, refreshing its recency.
     pub(crate) fn get(&mut self, key: PageKey) -> Option<Page> {
-        let g = self.ticket();
-        let slot = self.map.get_mut(&key)?;
-        slot.generation = g;
-        let page = slot.page.clone();
-        self.lru.push_back((key, g));
+        let page = self.lru.get(self.id(key))?.clone();
         self.hits += 1;
-        self.compact();
         Some(page)
     }
 
@@ -140,49 +115,9 @@ impl PageCache {
     pub(crate) fn insert(&mut self, key: PageKey, page: Page) -> Page {
         self.misses += 1;
         let bytes = page.bytes();
-        let g = self.ticket();
-        if let Some(old) = self.map.insert(
-            key,
-            Slot {
-                page: page.clone(),
-                generation: g,
-                bytes,
-            },
-        ) {
-            self.used -= old.bytes;
-        }
-        self.used += bytes;
-        self.lru.push_back((key, g));
-        while self.used > self.budget {
-            let Some((victim, ticket)) = self.lru.pop_front() else {
-                break;
-            };
-            if victim == key {
-                // Never evict the page being handed out; re-queue its
-                // ticket only if it is the live one.
-                if self
-                    .map
-                    .get(&victim)
-                    .is_some_and(|s| s.generation == ticket)
-                {
-                    self.lru.push_back((victim, ticket));
-                    // Everything older was already popped; if the new
-                    // page alone exceeds the budget, stop.
-                    if self.lru.len() == 1 {
-                        break;
-                    }
-                }
-                continue;
-            }
-            let stale = self.map.get(&victim).is_none_or(|s| s.generation != ticket);
-            if stale {
-                continue;
-            }
-            let slot = self.map.remove(&victim).expect("checked above");
-            self.used -= slot.bytes;
-        }
-        self.compact();
-        page
+        self.lru
+            .insert(self.id(key), page, bytes, |_, _| {})
+            .clone()
     }
 }
 
@@ -200,7 +135,7 @@ mod tests {
 
     #[test]
     fn budget_is_a_hard_ceiling_on_retained_bytes() {
-        let mut c = PageCache::new(64 * 8); // room for 64 f64s
+        let mut c = PageCache::new(64 * 8, 1, 32); // room for 64 f64s
         for p in 0..32 {
             c.insert(key(PageKind::Labels, 0, p), floats(16, p as f64));
             assert!(c.used() <= 64 * 8, "page {p}: used {} bytes", c.used());
@@ -209,7 +144,7 @@ mod tests {
 
     #[test]
     fn recently_used_pages_survive_eviction() {
-        let mut c = PageCache::new(4 * 16 * 8);
+        let mut c = PageCache::new(4 * 16 * 8, 1, 5);
         for p in 0..4 {
             c.insert(key(PageKind::Labels, 0, p), floats(16, p as f64));
         }
@@ -228,7 +163,7 @@ mod tests {
 
     #[test]
     fn an_oversized_page_is_still_served() {
-        let mut c = PageCache::new(8); // under one page
+        let mut c = PageCache::new(8, 1, 2); // under one page
         let page = c.insert(key(PageKind::Labels, 0, 0), floats(16, 1.0));
         let Page::Floats(f) = page else { panic!() };
         assert_eq!(f.len(), 16);
@@ -238,27 +173,8 @@ mod tests {
     }
 
     #[test]
-    fn ticket_queue_stays_bounded_when_nothing_evicts() {
-        // A working set under budget never triggers eviction; the
-        // recency queue must still not grow per touch.
-        let mut c = PageCache::new(1 << 20);
-        for p in 0..8 {
-            c.insert(key(PageKind::Labels, 0, p), floats(16, p as f64));
-        }
-        for i in 0..100_000u64 {
-            assert!(c.get(key(PageKind::Labels, 0, i % 8)).is_some());
-        }
-        assert!(
-            c.lru.len() <= c.map.len() * 2 + 64,
-            "queue holds {} tickets for {} live pages",
-            c.lru.len(),
-            c.map.len()
-        );
-    }
-
-    #[test]
     fn kinds_and_columns_do_not_collide() {
-        let mut c = PageCache::new(1 << 20);
+        let mut c = PageCache::new(1 << 20, 4, 1);
         c.insert(key(PageKind::Labels, 0, 0), floats(4, 1.0));
         c.insert(key(PageKind::Points, 0, 0), floats(4, 2.0));
         c.insert(

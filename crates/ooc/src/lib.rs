@@ -18,8 +18,10 @@
 //!   records, rank-addressable (`rank → page = rank / page_rows`),
 //!   with per-page min/max key fences from the artifact's
 //!   [`SECTION_PAGE_INDEX`](reds_art::SECTION_PAGE_INDEX);
-//! * **an LRU page cache with a hard byte budget** shared by record,
-//!   label, and point pages ([`OocConfig::cache_bytes`]);
+//! * **an exact LRU page cache with a hard byte budget** shared by
+//!   record, label, and point pages ([`OocConfig::cache_bytes`]),
+//!   hash-free: dense page ids index a directory into an intrusive
+//!   recency list;
 //! * **a paged membership bitmask persisted beside the artifact** —
 //!   the active-row mask lives in a scratch file with its own paged
 //!   write-back cache, not in an `O(L)` resident vector;
@@ -35,6 +37,7 @@
 #![warn(missing_docs)]
 
 mod cache;
+mod lru;
 mod mask;
 mod store;
 
@@ -49,8 +52,9 @@ pub const DEFAULT_CACHE_BYTES: usize = 48 << 20;
 #[derive(Debug, Clone)]
 pub struct OocConfig {
     /// Hard byte budget of the shared record/label/point page cache.
-    /// The mask cache takes an additional 1/8 of this on top. Clamped
-    /// up so at least one page of every kind fits.
+    /// The mask cache takes an additional 1/8 of this on top (at least
+    /// two 4 KiB mask pages). The page being inserted is always kept,
+    /// so a budget below one page degrades to cache-nothing.
     pub cache_bytes: usize,
     /// Rows per column page when *building* an artifact for this store
     /// ([`reds_art::DEFAULT_PAGE_ROWS`] by default). Readers take the

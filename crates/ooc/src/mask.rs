@@ -5,29 +5,29 @@
 //! mask lives in a scratch file beside the artifact (one bit per row,
 //! LSB-first within each byte, so ascending bit order is ascending row
 //! order), and the store touches it through a small write-back page
-//! cache. Deactivation marks pages dirty; eviction and [`flush`]
-//! persist them with positioned writes.
+//! cache — the exact LRU of [`crate::lru`], keyed by page number and
+//! bounded by a page count. Deactivation marks pages dirty; eviction
+//! and [`flush`] persist them with positioned writes.
 //!
 //! The scratch file is removed on drop — it is live search state, not
 //! an artifact.
 //!
 //! [`flush`]: PagedMask::flush
 
-use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
+use crate::lru::Lru;
 use crate::OocError;
 
 /// Bytes per mask page: 4 KiB = 32 768 rows.
 pub(crate) const MASK_PAGE_BYTES: usize = 4096;
 
-struct MaskSlot {
+struct MaskPage {
     data: Vec<u8>,
     dirty: bool,
-    generation: u64,
 }
 
 /// A file-backed bitmask over `n_rows` rows with a bounded write-back
@@ -38,10 +38,7 @@ pub(crate) struct PagedMask {
     path: PathBuf,
     n_rows: usize,
     n_bytes: usize,
-    max_pages: usize,
-    pages: HashMap<u64, MaskSlot>,
-    lru: VecDeque<(u64, u64)>,
-    next_generation: u64,
+    pages: Lru<MaskPage>,
 }
 
 impl PagedMask {
@@ -73,10 +70,7 @@ impl PagedMask {
             path: path.to_path_buf(),
             n_rows,
             n_bytes,
-            max_pages: max_pages.max(1),
-            pages: HashMap::new(),
-            lru: VecDeque::new(),
-            next_generation: 0,
+            pages: Lru::new(n_bytes.div_ceil(MASK_PAGE_BYTES), max_pages.max(1)),
         })
     }
 
@@ -95,89 +89,44 @@ impl PagedMask {
         Ok(())
     }
 
-    /// Drops stale tickets once they outnumber the live ones. A mask
-    /// whose pages all fit the cache never evicts, so without this the
-    /// queue would grow by one ticket per `is_set`/`clear` — unbounded
-    /// over a long search. Retain preserves order (recency unchanged);
-    /// the 2× trigger keeps the sweep amortized O(1) per touch.
-    fn compact(&mut self) {
-        if self.lru.len() > self.pages.len() * 2 + 64 {
-            let pages = &self.pages;
-            self.lru
-                .retain(|&(page, g)| pages.get(&page).is_some_and(|s| s.generation == g));
-        }
-    }
-
-    fn touch(&mut self, page: u64) -> Result<(), OocError> {
-        let generation = self.next_generation;
-        self.next_generation += 1;
-        if let Some(slot) = self.pages.get_mut(&page) {
-            slot.generation = generation;
-            self.lru.push_back((page, generation));
-            self.compact();
-            return Ok(());
-        }
-        let mut data = vec![0u8; self.page_len(page)];
-        self.file
-            .read_exact_at(&mut data, page * MASK_PAGE_BYTES as u64)?;
-        self.pages.insert(
-            page,
-            MaskSlot {
-                data,
-                dirty: false,
-                generation,
-            },
-        );
-        self.lru.push_back((page, generation));
-        while self.pages.len() > self.max_pages {
-            let Some((victim, ticket)) = self.lru.pop_front() else {
-                break;
-            };
-            if victim == page {
-                self.lru.push_back((victim, ticket));
-                if self.lru.len() == 1 {
-                    break;
+    /// The cached page `page`, read from the scratch file on a miss.
+    fn page(&mut self, page: u64) -> Result<&mut MaskPage, OocError> {
+        let id = page as usize;
+        if self.pages.get(id).is_none() {
+            let mut data = vec![0u8; self.page_len(page)];
+            self.file
+                .read_exact_at(&mut data, page * MASK_PAGE_BYTES as u64)?;
+            let mut failed = Ok(());
+            let file = &self.file;
+            let fresh = MaskPage { data, dirty: false };
+            self.pages.insert(id, fresh, 1, |victim, evicted| {
+                if evicted.dirty && failed.is_ok() {
+                    failed = Self::write_back(file, victim as u64, &evicted.data);
                 }
-                continue;
-            }
-            let live = self
-                .pages
-                .get(&victim)
-                .is_some_and(|s| s.generation == ticket);
-            if !live {
-                continue;
-            }
-            let slot = self.pages.remove(&victim).expect("checked above");
-            if slot.dirty {
-                Self::write_back(&self.file, victim, &slot.data)?;
-            }
+            });
+            failed?;
         }
-        self.compact();
-        Ok(())
+        Ok(self.pages.get(id).expect("just made resident"))
     }
 
     /// `true` when `row`'s bit is set.
     pub(crate) fn is_set(&mut self, row: u32) -> Result<bool, OocError> {
         debug_assert!((row as usize) < self.n_rows);
         let byte = row as usize / 8;
-        let page = (byte / MASK_PAGE_BYTES) as u64;
-        self.touch(page)?;
-        let slot = self.pages.get(&page).expect("just touched");
-        Ok(slot.data[byte % MASK_PAGE_BYTES] & (1 << (row % 8)) != 0)
+        let page = self.page((byte / MASK_PAGE_BYTES) as u64)?;
+        Ok(page.data[byte % MASK_PAGE_BYTES] & (1 << (row % 8)) != 0)
     }
 
     /// Clears `row`'s bit; returns whether it was set.
     pub(crate) fn clear(&mut self, row: u32) -> Result<bool, OocError> {
         debug_assert!((row as usize) < self.n_rows);
         let byte = row as usize / 8;
-        let page = (byte / MASK_PAGE_BYTES) as u64;
-        self.touch(page)?;
-        let slot = self.pages.get_mut(&page).expect("just touched");
+        let page = self.page((byte / MASK_PAGE_BYTES) as u64)?;
         let bit = 1u8 << (row % 8);
-        let was = slot.data[byte % MASK_PAGE_BYTES] & bit != 0;
+        let was = page.data[byte % MASK_PAGE_BYTES] & bit != 0;
         if was {
-            slot.data[byte % MASK_PAGE_BYTES] &= !bit;
-            slot.dirty = true;
+            page.data[byte % MASK_PAGE_BYTES] &= !bit;
+            page.dirty = true;
         }
         Ok(was)
     }
@@ -186,19 +135,18 @@ impl PagedMask {
     /// `page·8·MASK_PAGE_BYTES + 8·i + b`). A copy, not a borrow, so
     /// the caller can interleave other store reads while walking it.
     pub(crate) fn page_bits(&mut self, page: u64) -> Result<Vec<u8>, OocError> {
-        self.touch(page)?;
-        Ok(self.pages.get(&page).expect("just touched").data.clone())
+        Ok(self.page(page)?.data.clone())
     }
 
     /// Writes every dirty cached page back to the scratch file. The
     /// store itself never needs this (the mask is scratch state,
     /// removed on drop); the persistence tests do.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn flush(&mut self) -> Result<(), OocError> {
-        for (&page, slot) in self.pages.iter_mut() {
-            if slot.dirty {
-                Self::write_back(&self.file, page, &slot.data)?;
-                slot.dirty = false;
+        for (page, cached) in self.pages.iter_mut() {
+            if cached.dirty {
+                Self::write_back(&self.file, page as u64, &cached.data)?;
+                cached.dirty = false;
             }
         }
         Ok(())
@@ -245,28 +193,6 @@ mod tests {
         assert_eq!(bytes[1], 0b0000_0111);
         drop(m);
         assert!(!path.exists(), "scratch mask not removed on drop");
-    }
-
-    #[test]
-    fn ticket_queue_stays_bounded_when_nothing_evicts() {
-        // A mask whose pages all fit never evicts; the recency queue
-        // must still not grow per is_set/clear.
-        let path = scratch("tickets");
-        let rows = MASK_PAGE_BYTES * 8 * 2;
-        let mut m = PagedMask::create(&path, rows, 8).unwrap();
-        for i in 0..100_000u32 {
-            let row = (i as usize * 97) % rows;
-            assert!(m.is_set(row as u32).unwrap() || i > 0);
-            if i % 3 == 0 {
-                let _ = m.clear(row as u32).unwrap();
-            }
-        }
-        assert!(
-            m.lru.len() <= m.pages.len() * 2 + 64,
-            "queue holds {} tickets for {} live pages",
-            m.lru.len(),
-            m.pages.len()
-        );
     }
 
     #[test]

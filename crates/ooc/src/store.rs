@@ -220,7 +220,7 @@ impl OocPool {
             points_off,
             labels_off,
             cols,
-            cache: PageCache::new(cfg.cache_bytes),
+            cache: PageCache::new(cfg.cache_bytes, m, n.div_ceil(page_rows)),
             mask,
             n_active: n,
         })
