@@ -4,7 +4,10 @@
 //! benchmark reports (`BENCH_*.json`) as JSON. The build environment has
 //! no crates.io access, so instead of `serde`/`serde_json` this crate
 //! provides a small value model ([`Json`]), a compact and a pretty
-//! writer, and a strict recursive-descent parser.
+//! writer, and a strict recursive-descent parser that runs in time
+//! linear in the input. [`from_str_with_f64_array`] is the same parser
+//! with one named number array read straight into a `Vec<f64>`, for
+//! frames whose bulk is coordinates.
 //!
 //! Non-finite floats serialize as `null` (matching `serde_json`);
 //! domain types that need lossless infinities (hyperbox bounds) encode
@@ -12,7 +15,7 @@
 
 #![warn(missing_docs)]
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,37 +144,53 @@ impl Json {
     }
 }
 
-fn write_number(out: &mut String, v: f64) {
-    if !v.is_finite() {
-        out.push_str("null");
+/// Appends the compact JSON text of a number: what `Json::Num(v)`
+/// serializes to (`null` for a non-finite `v`).
+pub fn write_number(out: &mut String, v: f64) {
+    // `fmt::Write` for `String` cannot fail.
+    let _ = if !v.is_finite() {
+        out.write_str("null")
     } else if v == v.trunc() && v.abs() < 1e15 && !(v == 0.0 && v.is_sign_negative()) {
         // Integral values print without a trailing ".0", like serde_json.
         // Negative zero takes the float path so its sign survives.
-        out.push_str(&format!("{}", v as i64));
+        write!(out, "{}", v as i64)
     } else if v != 0.0 && !(1e-5..1e16).contains(&v.abs()) {
         // Extreme magnitudes: `Display` is shortest-round-trip but always
         // positional, so 1e-300 would print as "0.000…001" with 300
         // digits. `LowerExp` keeps the same exactness guarantee in
         // JSON-valid scientific notation ("1e-300").
-        out.push_str(&format!("{v:e}"));
+        write!(out, "{v:e}")
     } else {
-        out.push_str(&format!("{v}"));
-    }
+        write!(out, "{v}")
+    };
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends the JSON text of a string: what `Json::Str(s)` serializes
+/// to.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Every byte that needs an escape is ASCII, so each unescaped run
+    // between two of them starts and ends on a char boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -248,11 +267,69 @@ pub fn from_str(input: &str) -> Result<Json, ParseError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
     let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(err(pos, "trailing characters after document"));
-    }
+    finish(bytes, &mut pos)?;
     Ok(value)
+}
+
+/// What [`from_str_with_f64_array`] read under its key.
+#[derive(Debug, Clone, PartialEq)]
+pub enum F64Array {
+    /// Nothing was read: the document is not an object, the key is
+    /// absent, or the key's first value is not an array (that value then
+    /// stays in the returned document).
+    NotRead,
+    /// Every element was a number or a marker string, in order.
+    Values(Vec<f64>),
+    /// Element `index` was the first that is neither a number nor a
+    /// marker string.
+    BadElement(usize),
+}
+
+/// Parses a complete JSON document like [`from_str`], except that the
+/// first value under `key` in a top-level object, when it is an array,
+/// is read straight into a `Vec<f64>` instead of a [`Json::Arr`] of one
+/// node per element. An element may be a number or a string that
+/// `marker` maps to a float (such as `"inf"`). The returned document
+/// holds every other member.
+///
+/// The grammar, the [`MAX_DEPTH`] limit and the errors are those of
+/// [`from_str`] on the same input: a syntax error anywhere, including
+/// inside the array after a bad element, is returned as the same
+/// [`ParseError`], and a bad element is reported only once the whole
+/// document has parsed. The first member under `key` wins, as with
+/// [`Json::get`]; later ones are parsed and dropped.
+pub fn from_str_with_f64_array(
+    input: &str,
+    key: &str,
+    marker: impl Fn(&str) -> Option<f64>,
+) -> Result<(Json, F64Array), ParseError> {
+    let bytes = input.as_bytes();
+    let mut pos = 0usize;
+    skip_ws(bytes, &mut pos);
+    if bytes.get(pos) != Some(&b'{') {
+        return Ok((from_str(input)?, F64Array::NotRead));
+    }
+    let mut pairs = Vec::new();
+    let mut array = F64Array::NotRead;
+    let mut seen = false;
+    parse_object(bytes, &mut pos, 0, |name, pos, depth| {
+        if name != key {
+            pairs.push((name, parse_value(bytes, pos, depth)?));
+        } else if seen {
+            parse_value(bytes, pos, depth)?;
+        } else {
+            seen = true;
+            skip_ws(bytes, pos);
+            if bytes.get(*pos) == Some(&b'[') {
+                array = parse_f64_array(bytes, pos, depth, &marker)?;
+            } else {
+                pairs.push((name, parse_value(bytes, pos, depth)?));
+            }
+        }
+        Ok(())
+    })?;
+    finish(bytes, &mut pos)?;
+    Ok((Json::Obj(pairs), array))
 }
 
 fn err(offset: usize, message: impl Into<String>) -> ParseError {
@@ -266,6 +343,14 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
     }
+}
+
+fn finish(bytes: &[u8], pos: &mut usize) -> Result<(), ParseError> {
+    skip_ws(bytes, pos);
+    if *pos != bytes.len() {
+        return Err(err(*pos, "trailing characters after document"));
+    }
+    Ok(())
 }
 
 fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), ParseError> {
@@ -286,60 +371,132 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Pars
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b'[') => {
-            if depth >= MAX_DEPTH {
-                return Err(err(*pos, format!("nesting deeper than {MAX_DEPTH} levels")));
-            }
-            *pos += 1;
             let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(err(*pos, "expected ',' or ']'")),
-                }
-            }
+            parse_array(bytes, pos, depth, |pos, depth| {
+                items.push(parse_value(bytes, pos, depth)?);
+                Ok(())
+            })?;
+            Ok(Json::Arr(items))
         }
         Some(b'{') => {
-            if depth >= MAX_DEPTH {
-                return Err(err(*pos, format!("nesting deeper than {MAX_DEPTH} levels")));
-            }
-            *pos += 1;
             let mut pairs = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
+            parse_object(bytes, pos, depth, |key, pos, depth| {
+                pairs.push((key, parse_value(bytes, pos, depth)?));
+                Ok(())
+            })?;
+            Ok(Json::Obj(pairs))
+        }
+        Some(_) => parse_number(bytes, pos).map(Json::Num),
+    }
+}
+
+/// Steps over the `[` or `{` at `*pos` of a container at `depth`,
+/// enforcing [`MAX_DEPTH`].
+fn open(pos: &mut usize, depth: usize) -> Result<(), ParseError> {
+    if depth >= MAX_DEPTH {
+        return Err(err(*pos, format!("nesting deeper than {MAX_DEPTH} levels")));
+    }
+    *pos += 1;
+    Ok(())
+}
+
+/// Parses the array whose `[` is at `*pos`; `item` parses each element
+/// at the depth it is handed.
+fn parse_array(
+    bytes: &[u8],
+    pos: &mut usize,
+    depth: usize,
+    mut item: impl FnMut(&mut usize, usize) -> Result<(), ParseError>,
+) -> Result<(), ParseError> {
+    open(pos, depth)?;
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b']') {
+        *pos += 1;
+        return Ok(());
+    }
+    loop {
+        item(pos, depth + 1)?;
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b']') => {
                 *pos += 1;
-                return Ok(Json::Obj(pairs));
+                return Ok(());
             }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos, depth + 1)?;
-                pairs.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(err(*pos, "expected ',' or '}'")),
-                }
+            _ => return Err(err(*pos, "expected ',' or ']'")),
+        }
+    }
+}
+
+/// Parses the object whose `{` is at `*pos`; `member` parses each
+/// key's value at the depth it is handed.
+fn parse_object(
+    bytes: &[u8],
+    pos: &mut usize,
+    depth: usize,
+    mut member: impl FnMut(String, &mut usize, usize) -> Result<(), ParseError>,
+) -> Result<(), ParseError> {
+    open(pos, depth)?;
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b'}') {
+        *pos += 1;
+        return Ok(());
+    }
+    loop {
+        skip_ws(bytes, pos);
+        let key = parse_string(bytes, pos)?;
+        skip_ws(bytes, pos);
+        expect(bytes, pos, b':')?;
+        member(key, pos, depth + 1)?;
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b'}') => {
+                *pos += 1;
+                return Ok(());
+            }
+            _ => return Err(err(*pos, "expected ',' or '}'")),
+        }
+    }
+}
+
+/// The array branch of [`from_str_with_f64_array`]: each element takes
+/// the branch `parse_value` would take for its first byte, so errors
+/// and depth accounting match, but numbers and marker strings become
+/// floats instead of nodes.
+fn parse_f64_array(
+    bytes: &[u8],
+    pos: &mut usize,
+    depth: usize,
+    marker: &impl Fn(&str) -> Option<f64>,
+) -> Result<F64Array, ParseError> {
+    // Grows with the elements actually parsed, so its size is bounded
+    // by the input's length, never by a count the input claims.
+    let mut values = Vec::new();
+    let mut bad = None;
+    parse_array(bytes, pos, depth, |pos, depth| {
+        skip_ws(bytes, pos);
+        let value = match bytes.get(*pos) {
+            Some(b'"') => marker(&parse_string(bytes, pos)?),
+            None | Some(b'n' | b't' | b'f' | b'[' | b'{') => {
+                parse_value(bytes, pos, depth)?;
+                None
+            }
+            Some(_) => Some(parse_number(bytes, pos)?),
+        };
+        match value {
+            Some(v) if bad.is_none() => values.push(v),
+            Some(_) => {}
+            None => {
+                bad.get_or_insert(values.len());
             }
         }
-        Some(_) => parse_number(bytes, pos),
-    }
+        Ok(())
+    })?;
+    Ok(match bad {
+        Some(index) => F64Array::BadElement(index),
+        None => F64Array::Values(values),
+    })
 }
 
 fn parse_keyword(
@@ -410,12 +567,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character.
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash.
+                // Both are ASCII, so the run ends on a char boundary and
+                // validating it costs only its own length.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|e| err(start + e.valid_up_to(), "invalid UTF-8"))?;
+                out.push_str(run);
             }
         }
     }
@@ -432,7 +593,7 @@ fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, ParseError> {
     .map_err(|_| err(at, "invalid \\u escape"))
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, ParseError> {
     // Strict RFC 8259 grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
     // (Rust's f64 parser is laxer — it accepts "+5", ".5", "1." — so
     // the shape is validated here before delegating the conversion.)
@@ -471,7 +632,6 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| err(start, "bad number"))?;
     text.parse::<f64>()
-        .map(Json::Num)
         .map_err(|_| err(start, format!("invalid number '{text}'")))
 }
 
@@ -650,5 +810,259 @@ mod tests {
         assert_eq!(arr[0].as_f64(), Some(1000.0));
         assert!((arr[1].as_f64().unwrap() + 0.025).abs() < 1e-15);
         assert_eq!(arr[2].as_str(), Some("A\t"));
+    }
+
+    /// The writer before it wrote through `fmt::Write`: one `format!`
+    /// per number and per control-character escape. The current writer
+    /// must produce the same bytes.
+    fn reference_text(v: &Json) -> String {
+        match v {
+            Json::Num(v) if !v.is_finite() => "null".to_string(),
+            Json::Num(v)
+                if *v == v.trunc() && v.abs() < 1e15 && !(*v == 0.0 && v.is_sign_negative()) =>
+            {
+                format!("{}", *v as i64)
+            }
+            Json::Num(v) if *v != 0.0 && !(1e-5..1e16).contains(&v.abs()) => format!("{v:e}"),
+            Json::Num(v) => format!("{v}"),
+            Json::Str(s) => {
+                let mut out = String::from("\"");
+                for c in s.chars() {
+                    match c {
+                        '"' => out.push_str("\\\""),
+                        '\\' => out.push_str("\\\\"),
+                        '\n' => out.push_str("\\n"),
+                        '\r' => out.push_str("\\r"),
+                        '\t' => out.push_str("\\t"),
+                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                        c => out.push(c),
+                    }
+                }
+                out.push('"');
+                out
+            }
+            other => unreachable!("scalar only: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn writer_output_is_unchanged_for_numbers_and_strings() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let two53 = (1u64 << 53) as f64;
+        let mut numbers = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            1e-5,
+            9.99e-6,
+            1e15,
+            1e15 - 1.0,
+            1e16,
+            1e16 - 2.0,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            5e-324,
+            1e-300,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            0.1 + 0.2,
+        ];
+        for _ in 0..20_000 {
+            numbers.push(f64::from_bits(next()));
+            numbers.push((next() % 2_000_000) as f64 / 1024.0 - 1000.0);
+        }
+        for v in numbers {
+            let node = Json::Num(v);
+            let mut direct = String::new();
+            write_number(&mut direct, v);
+            assert_eq!(direct, reference_text(&node), "bits {:#x}", v.to_bits());
+            assert_eq!(node.to_string_compact(), direct);
+        }
+        let mut strings: Vec<String> = (0u32..0x80)
+            .filter_map(char::from_u32)
+            .map(|c| format!("a{c}b{c}"))
+            .collect();
+        strings.extend(
+            [
+                "",
+                "plain",
+                "é\u{1F600}\"\\\n\u{0}\u{1f}\u{7f}ü",
+                "\u{10FFFF}\t",
+            ]
+            .map(String::from),
+        );
+        for s in strings {
+            let node = Json::Str(s.clone());
+            assert_eq!(node.to_string_compact(), reference_text(&node), "{s:?}");
+            assert_eq!(from_str(&node.to_string_compact()).unwrap(), node);
+        }
+    }
+
+    #[test]
+    fn string_parsing_is_linear_in_the_document_length() {
+        // 100k short strings, about 1 MB. A parser that re-validates the
+        // rest of the document for every character needs hours here.
+        let items: Vec<Json> = (0..100_000)
+            .map(|i| Json::str(format!("k{i}-ab")))
+            .collect();
+        let doc = Json::Arr(items);
+        let text = doc.to_string_compact();
+        assert!(text.len() > 1_000_000, "{}", text.len());
+        assert_eq!(from_str(&text).unwrap(), doc);
+        // Multi-byte UTF-8, every escape, surrogate pairs, and runs that
+        // end right at an escape or the closing quote.
+        let tricky = [
+            "ünïcødé ✓ 中文 \u{1F600}\u{10FFFF}",
+            "\"\\/\u{8}\u{c}\n\r\t\u{0}\u{1}\u{1f}",
+            "é\\",
+            "\\é",
+            "\u{1F600}\"",
+            "",
+            "x",
+        ];
+        for s in tricky {
+            let node = Json::str(s);
+            assert_eq!(from_str(&node.to_string_compact()).unwrap(), node, "{s:?}");
+        }
+        let escaped = r#"["é😀\/\b\f", "a\u0000b", "😀z"]"#;
+        assert_eq!(
+            from_str(escaped).unwrap(),
+            Json::arr([
+                Json::str("é\u{1F600}/\u{8}\u{c}"),
+                Json::str("a\u{0}b"),
+                Json::str("\u{1F600}z"),
+            ])
+        );
+    }
+
+    fn marker(s: &str) -> Option<f64> {
+        match s {
+            "inf" => Some(f64::INFINITY),
+            "-inf" => Some(f64::NEG_INFINITY),
+            "nan" => Some(f64::NAN),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn f64_array_entry_reads_the_named_array_and_keeps_the_rest() {
+        let text = r#" {"id":3, "xs" : [1, -0.5e1 ,"inf","-inf",1e-300], "m":{"k":[true]}} "#;
+        let (doc, xs) = from_str_with_f64_array(text, "xs", marker).unwrap();
+        assert_eq!(
+            doc,
+            from_str(r#"{"id":3,"m":{"k":[true]}}"#).unwrap(),
+            "the array is taken out, every other member stays"
+        );
+        assert_eq!(
+            xs,
+            F64Array::Values(vec![1.0, -5.0, f64::INFINITY, f64::NEG_INFINITY, 1e-300])
+        );
+        let (_, xs) = from_str_with_f64_array(r#"{"xs":[]}"#, "xs", marker).unwrap();
+        assert_eq!(xs, F64Array::Values(vec![]));
+        let (_, xs) = from_str_with_f64_array(r#"{"xs":["nan"]}"#, "xs", marker).unwrap();
+        assert!(matches!(xs, F64Array::Values(v) if v.len() == 1 && v[0].is_nan()));
+    }
+
+    #[test]
+    fn f64_array_entry_reports_the_first_bad_element() {
+        for (text, index) in [
+            (r#"{"xs":[1,null,"x"]}"#, 1),
+            (r#"{"xs":["x",2]}"#, 0),
+            (r#"{"xs":[1,2,[3]]}"#, 2),
+            (r#"{"xs":[1,{"a":1},true]}"#, 1),
+        ] {
+            let (_, xs) = from_str_with_f64_array(text, "xs", marker).unwrap();
+            assert_eq!(xs, F64Array::BadElement(index), "{text}");
+        }
+    }
+
+    #[test]
+    fn f64_array_entry_leaves_other_shapes_in_the_document() {
+        for text in [
+            r#"{"ys":[1]}"#,
+            r#"{"xs":"zzz"}"#,
+            r#"{"xs":{"a":[1]}}"#,
+            r#"[{"xs":[1]}]"#,
+            r#""xs""#,
+            "7",
+            r#"{"a":{"xs":[1]}}"#,
+        ] {
+            let (doc, xs) = from_str_with_f64_array(text, "xs", marker).unwrap();
+            assert_eq!(xs, F64Array::NotRead, "{text}");
+            assert_eq!(doc, from_str(text).unwrap(), "{text}");
+        }
+    }
+
+    #[test]
+    fn f64_array_entry_takes_the_first_of_duplicate_keys() {
+        let (doc, xs) =
+            from_str_with_f64_array(r#"{"xs":[1],"a":2,"xs":[2,3],"xs":"no"}"#, "xs", marker)
+                .unwrap();
+        assert_eq!(xs, F64Array::Values(vec![1.0]));
+        assert_eq!(doc, from_str(r#"{"a":2}"#).unwrap());
+        // A first value that is not an array wins over a later array.
+        let text = r#"{"xs":null,"xs":[1]}"#;
+        let (doc, xs) = from_str_with_f64_array(text, "xs", marker).unwrap();
+        assert_eq!(xs, F64Array::NotRead);
+        assert_eq!(doc.get("xs"), from_str(text).unwrap().get("xs"));
+        // Later duplicates must still be valid JSON.
+        let text = r#"{"xs":[1],"xs":[1,}"#;
+        assert_eq!(
+            from_str_with_f64_array(text, "xs", marker).unwrap_err(),
+            from_str(text).unwrap_err()
+        );
+    }
+
+    #[test]
+    fn f64_array_entry_fails_exactly_where_from_str_fails() {
+        let deep = format!(
+            r#"{{"xs":[1,{}0{}]}}"#,
+            "[".repeat(MAX_DEPTH),
+            "]".repeat(MAX_DEPTH)
+        );
+        let just_fits = format!(
+            r#"{{"xs":[1,{}0{}]}}"#,
+            "[".repeat(MAX_DEPTH - 3),
+            "]".repeat(MAX_DEPTH - 3)
+        );
+        assert!(from_str(&just_fits).is_ok());
+        let (_, xs) = from_str_with_f64_array(&just_fits, "xs", marker).unwrap();
+        assert_eq!(xs, F64Array::BadElement(1));
+        let base = r#"{"id":1,"xs":[0.25,"inf",-3e2,"nan"],"m":2,"s":"é\n"}"#;
+        let mut bad: Vec<String> = vec![
+            deep,
+            // A syntax error after a bad element beats the bad element.
+            r#"{"xs":[null,1 2]}"#.to_string(),
+            r#"{"xs":["x",01]}"#.to_string(),
+            r#"{"xs":[1,"x"]} x"#.to_string(),
+            r#"{"xs":[1,+5]}"#.to_string(),
+            r#"{"xs":[1,nul]}"#.to_string(),
+            r#"{"xs":[1,"\q"]}"#.to_string(),
+            r#"{"xs":[1,]}"#.to_string(),
+            r#"{"xs":[1"#.to_string(),
+        ];
+        bad.extend(
+            (0..base.len())
+                .filter(|&n| base.is_char_boundary(n))
+                .map(|n| base[..n].to_string()),
+        );
+        for text in bad {
+            let expected = from_str(&text).unwrap_err();
+            let got = from_str_with_f64_array(&text, "xs", marker).unwrap_err();
+            assert_eq!(got, expected, "{text}");
+        }
     }
 }

@@ -47,14 +47,33 @@ pub(crate) fn bad(message: impl Into<String>) -> PersistError {
 /// Encodes an `f64` losslessly: finite values as JSON numbers (bitwise
 /// round-trip), non-finite ones as marker strings.
 pub fn f64_to_json(v: f64) -> Json {
+    match f64_marker(v) {
+        None => Json::Num(v),
+        Some(marker) => Json::str(marker),
+    }
+}
+
+/// The marker string [`f64_to_json`] writes for a non-finite `v`
+/// (`"inf"`, `"-inf"` or `"nan"`); `None` for a finite one.
+pub fn f64_marker(v: f64) -> Option<&'static str> {
     if v.is_finite() {
-        Json::Num(v)
+        None
     } else if v.is_nan() {
-        Json::str("nan")
+        Some("nan")
     } else if v > 0.0 {
-        Json::str("inf")
+        Some("inf")
     } else {
-        Json::str("-inf")
+        Some("-inf")
+    }
+}
+
+/// Inverse of [`f64_marker`].
+pub fn f64_from_marker(s: &str) -> Option<f64> {
+    match s {
+        "inf" => Some(f64::INFINITY),
+        "-inf" => Some(f64::NEG_INFINITY),
+        "nan" => Some(f64::NAN),
+        _ => None,
     }
 }
 
@@ -62,12 +81,9 @@ pub fn f64_to_json(v: f64) -> Json {
 pub fn f64_from_json(doc: &Json) -> Result<f64, PersistError> {
     match doc {
         Json::Num(v) => Ok(*v),
-        Json::Str(s) => match s.as_str() {
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            "nan" => Ok(f64::NAN),
-            other => Err(bad(format!("expected a number, got string '{other}'"))),
-        },
+        Json::Str(s) => {
+            f64_from_marker(s).ok_or_else(|| bad(format!("expected a number, got string '{s}'")))
+        }
         other => Err(bad(format!("expected a number, got {other}"))),
     }
 }

@@ -20,7 +20,7 @@ use reds_json::Json;
 use reds_subgroup::SdResult;
 
 use crate::backoff::Backoff;
-use crate::protocol::{DiscoverParams, Request, StreamDiscoverParams};
+use crate::protocol::{write_predict_batch, DiscoverParams, Request, StreamDiscoverParams};
 use crate::wire::{self, Frame, RetryBudget};
 
 /// How long each blocking read waits before re-checking its budget;
@@ -182,12 +182,18 @@ impl Client {
     /// [`Client::set_busy_retry`] enabled, `too_busy` refusals are
     /// retried under jittered exponential backoff.
     pub fn call(&mut self, request: &Request) -> Result<Json, ClientError> {
+        self.call_frame(request.id(), request.to_json().to_string_compact())
+    }
+
+    /// [`Client::call`] on a request already encoded as its wire text.
+    fn call_frame(&mut self, sent_id: u64, mut frame: String) -> Result<Json, ClientError> {
+        frame.push('\n');
         if let Some(b) = self.busy.as_mut() {
             b.backoff.reset();
         }
         let mut attempt = 0u32;
         loop {
-            let outcome = self.call_once(request);
+            let outcome = self.call_once(sent_id, &frame);
             let busy =
                 matches!(&outcome, Err(ClientError::Server { code, .. }) if code == "too_busy");
             if !busy {
@@ -206,11 +212,8 @@ impl Client {
         }
     }
 
-    fn call_once(&mut self, request: &Request) -> Result<Json, ClientError> {
-        let sent_id = request.id();
-        let mut text = request.to_json().to_string_compact();
-        text.push('\n');
-        self.writer.write_all(text.as_bytes())?;
+    fn call_once(&mut self, sent_id: u64, frame: &str) -> Result<Json, ClientError> {
+        self.writer.write_all(frame.as_bytes())?;
         self.writer.flush()?;
         let doc = self.read_response()?;
         let id = doc.get("id").and_then(Json::as_f64).unwrap_or(-1.0);
@@ -225,10 +228,14 @@ impl Client {
             )));
         }
         match ok {
-            Some(true) => doc
-                .get("result")
-                .cloned()
-                .ok_or_else(|| ClientError::Protocol("missing 'result'".to_string())),
+            // Moved out of the reply rather than cloned; the first
+            // `result` wins, as with `Json::get`.
+            Some(true) => match doc {
+                Json::Obj(pairs) => pairs.into_iter().find(|(k, _)| k == "result"),
+                _ => None,
+            }
+            .map(|(_, result)| result)
+            .ok_or_else(|| ClientError::Protocol("missing 'result'".to_string())),
             Some(false) => {
                 let error = doc.get("error");
                 let get = |key: &str| {
@@ -268,13 +275,7 @@ impl Client {
         points: &[f64],
         m: usize,
     ) -> Result<(u64, Vec<f64>), ClientError> {
-        let id = self.fresh_id();
-        let result = self.call(&Request::PredictBatch {
-            id,
-            points: points.to_vec(),
-            m,
-            model: model.map(str::to_string),
-        })?;
+        let result = self.predict_batch_result(model, points, m)?;
         let arr = result
             .get("predictions")
             .and_then(Json::as_array)
@@ -290,6 +291,21 @@ impl Client {
             .collect::<Result<Vec<f64>, ClientError>>()?;
         let version = result.get("version").and_then(Json::as_f64).unwrap_or(0.0) as u64;
         Ok((version, preds))
+    }
+
+    /// Sends a `predict_batch` frame written straight from `points`
+    /// (no request tree, no copy of the points) and returns the reply's
+    /// `result` object.
+    pub(crate) fn predict_batch_result(
+        &mut self,
+        model: Option<&str>,
+        points: &[f64],
+        m: usize,
+    ) -> Result<Json, ClientError> {
+        let id = self.fresh_id();
+        let mut frame = String::new();
+        write_predict_batch(&mut frame, id, points, m, model);
+        self.call_frame(id, frame)
     }
 
     /// Runs scenario discovery on the server's default model.

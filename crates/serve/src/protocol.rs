@@ -25,7 +25,7 @@
 //! ← {"id":5,"ok":false,"error":{"code":"bad_request","message":"…"}}
 //! ```
 
-use reds_json::Json;
+use reds_json::{F64Array, Json};
 
 /// Resource bounds the server enforces at the trust boundary.
 #[derive(Debug, Clone, PartialEq)]
@@ -432,108 +432,204 @@ impl Request {
     /// unknown command, non-numeric points) are `parse` errors; the
     /// caller layers semantic validation (width, NaN, limits) on top.
     pub fn from_json(doc: &Json) -> Result<Self, ServeError> {
-        let id = match doc.get("id") {
-            None => 0,
-            Some(v) => small_uint(v)
-                .ok_or_else(|| ServeError::parse("'id' must be a small non-negative integer"))?,
-        };
-        let cmd = doc
-            .get("cmd")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ServeError::parse("missing string field 'cmd'"))?;
-        let get_usize = |key: &str, default: Option<usize>| -> Result<usize, ServeError> {
-            match doc.get(key) {
-                None => default
-                    .ok_or_else(|| ServeError::parse(format!("missing numeric field '{key}'"))),
-                Some(v) => small_uint(v).map(|x| x as usize).ok_or_else(|| {
-                    ServeError::parse(format!("'{key}' must be a non-negative integer"))
-                }),
-            }
-        };
-        match cmd {
-            "predict_batch" => {
-                let m = get_usize("m", None)?;
-                let arr = doc
-                    .get("points")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| ServeError::parse("'points' must be an array of numbers"))?;
-                let mut points = Vec::with_capacity(arr.len());
-                for (i, v) in arr.iter().enumerate() {
-                    // Numbers, plus the "inf"/"-inf"/"nan" markers the
-                    // writer side emits for non-finite coordinates.
-                    points.push(reds_metamodel::persist::f64_from_json(v).map_err(|_| {
-                        ServeError::parse(format!(
-                            "points[{i}] must be a number (or \"inf\"/\"-inf\"/\"nan\")"
-                        ))
-                    })?);
-                }
-                Ok(Self::PredictBatch {
-                    id,
-                    points,
-                    m,
-                    model: decode_model(doc)?,
-                })
-            }
-            "discover" => {
-                let params = DiscoverParams {
-                    l: get_usize("l", Some(DiscoverParams::default().l))?,
-                    seed: decode_seed(doc)?.unwrap_or(0),
-                    algorithm: decode_algorithm(doc)?,
-                    bnd: decode_bnd(doc)?,
-                };
-                Ok(Self::Discover {
-                    id,
-                    params,
-                    model: decode_model(doc)?,
-                })
-            }
-            "discover_streaming" => {
-                let chunk_rows = get_usize("chunk_rows", Some(0))?;
-                if chunk_rows == 0 && doc.get("chunk_rows").is_some() {
-                    // An explicit 0 is almost certainly a client bug
-                    // (a miscomputed chunk size); silently substituting
-                    // the server default would mask it.
-                    return Err(ServeError::bad_request(
-                        "'chunk_rows' must be positive; omit the field for the server default",
-                    ));
-                }
-                let params = StreamDiscoverParams {
-                    l: get_usize("l", Some(StreamDiscoverParams::default().l))?,
-                    // `None` (field absent) = the artifact's pool seed.
-                    seed: decode_seed(doc)?,
-                    algorithm: decode_algorithm(doc)?,
-                    bnd: decode_bnd(doc)?,
-                    chunk_rows,
-                    ooc: decode_ooc(doc)?,
-                };
-                Ok(Self::DiscoverStreaming {
-                    id,
-                    params,
-                    model: decode_model(doc)?,
-                })
-            }
-            "swap" => {
-                let path = doc
-                    .get("path")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| ServeError::parse("missing string field 'path'"))?;
-                if path.is_empty() {
-                    return Err(ServeError::parse("'path' must be non-empty"));
-                }
-                Ok(Self::Swap {
-                    id,
-                    model: decode_model(doc)?,
-                    path: path.to_string(),
-                })
-            }
-            "info" => Ok(Self::Info { id }),
-            "shutdown" => Ok(Self::Shutdown { id }),
-            other => Err(ServeError::parse(format!(
-                "unknown command '{other}' (expected predict_batch, discover, \
-                 discover_streaming, swap, info, shutdown)"
-            ))),
+        decode(doc, || points_from_tree(doc))
+    }
+}
+
+/// Appends the compact wire text of a `predict_batch` request straight
+/// from the point slice: the same bytes as
+/// `Request::PredictBatch { .. }.to_json().to_string_compact()`.
+pub fn write_predict_batch(
+    out: &mut String,
+    id: u64,
+    points: &[f64],
+    m: usize,
+    model: Option<&str>,
+) {
+    use reds_json::{write_number, write_string};
+    out.push_str("{\"id\":");
+    write_number(out, id as f64);
+    out.push_str(",\"cmd\":\"predict_batch\",\"m\":");
+    write_number(out, m as f64);
+    out.push_str(",\"points\":[");
+    for (i, &v) in points.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match reds_metamodel::persist::f64_marker(v) {
+            None => write_number(out, v),
+            Some(marker) => write_string(out, marker),
         }
     }
+    out.push(']');
+    if let Some(model) = model {
+        out.push_str(",\"model\":");
+        write_string(out, model);
+    }
+    out.push('}');
+}
+
+/// Decodes one raw request frame, reading `points` straight into a
+/// `Vec<f64>` instead of building one `Json` node per coordinate. The
+/// result equals [`Request::from_json`] on the parsed frame, and so do
+/// the errors; an error comes with the request id to echo (0 when the
+/// frame carries no valid one).
+pub fn decode_frame(line: &str) -> Result<Request, (u64, ServeError)> {
+    let (doc, points) = reds_json::from_str_with_f64_array(
+        line,
+        "points",
+        reds_metamodel::persist::f64_from_marker,
+    )
+    .map_err(|e| (0, ServeError::parse(e.to_string())))?;
+    // The id is echoed even when the rest of the request is bad, so the
+    // client can correlate the failure.
+    let id = doc.get("id").and_then(small_uint).unwrap_or(0);
+    decode(&doc, || match points {
+        F64Array::Values(points) => Ok(points),
+        F64Array::BadElement(i) => Err(bad_point(i)),
+        F64Array::NotRead => points_from_tree(&doc),
+    })
+    .map_err(|e| (id, e))
+}
+
+/// Decodes a frame and answers it with `dispatch`: the one front end of
+/// the server and the router. Decode failures become error frames, and
+/// a panicking handler becomes an `internal` error carrying the
+/// request's id, so pipelining clients keep their response
+/// correlation.
+pub(crate) fn answer_frame(
+    line: &str,
+    dispatch: impl FnOnce(Request) -> (Json, bool),
+) -> (Json, bool) {
+    let request = match decode_frame(line) {
+        Ok(request) => request,
+        Err((id, e)) => return (error_response(id, &e), false),
+    };
+    let id = request.id();
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dispatch(request))).unwrap_or_else(
+        |_| {
+            let e = ServeError::internal("request handler panicked; see server log");
+            (error_response(id, &e), false)
+        },
+    )
+}
+
+/// The request decoder both entry points share; `points` yields the
+/// `predict_batch` coordinates, and is asked for them only when the
+/// command needs them, at the position `from_json` always checked them.
+fn decode(
+    doc: &Json,
+    points: impl FnOnce() -> Result<Vec<f64>, ServeError>,
+) -> Result<Request, ServeError> {
+    let id = match doc.get("id") {
+        None => 0,
+        Some(v) => small_uint(v)
+            .ok_or_else(|| ServeError::parse("'id' must be a small non-negative integer"))?,
+    };
+    let cmd = doc
+        .get("cmd")
+        .and_then(Json::as_str)
+        .ok_or_else(|| ServeError::parse("missing string field 'cmd'"))?;
+    let get_usize = |key: &str, default: Option<usize>| -> Result<usize, ServeError> {
+        match doc.get(key) {
+            None => {
+                default.ok_or_else(|| ServeError::parse(format!("missing numeric field '{key}'")))
+            }
+            Some(v) => small_uint(v).map(|x| x as usize).ok_or_else(|| {
+                ServeError::parse(format!("'{key}' must be a non-negative integer"))
+            }),
+        }
+    };
+    match cmd {
+        "predict_batch" => {
+            let m = get_usize("m", None)?;
+            let points = points()?;
+            Ok(Request::PredictBatch {
+                id,
+                points,
+                m,
+                model: decode_model(doc)?,
+            })
+        }
+        "discover" => {
+            let params = DiscoverParams {
+                l: get_usize("l", Some(DiscoverParams::default().l))?,
+                seed: decode_seed(doc)?.unwrap_or(0),
+                algorithm: decode_algorithm(doc)?,
+                bnd: decode_bnd(doc)?,
+            };
+            Ok(Request::Discover {
+                id,
+                params,
+                model: decode_model(doc)?,
+            })
+        }
+        "discover_streaming" => {
+            let chunk_rows = get_usize("chunk_rows", Some(0))?;
+            if chunk_rows == 0 && doc.get("chunk_rows").is_some() {
+                // An explicit 0 is almost certainly a client bug
+                // (a miscomputed chunk size); silently substituting
+                // the server default would mask it.
+                return Err(ServeError::bad_request(
+                    "'chunk_rows' must be positive; omit the field for the server default",
+                ));
+            }
+            let params = StreamDiscoverParams {
+                l: get_usize("l", Some(StreamDiscoverParams::default().l))?,
+                // `None` (field absent) = the artifact's pool seed.
+                seed: decode_seed(doc)?,
+                algorithm: decode_algorithm(doc)?,
+                bnd: decode_bnd(doc)?,
+                chunk_rows,
+                ooc: decode_ooc(doc)?,
+            };
+            Ok(Request::DiscoverStreaming {
+                id,
+                params,
+                model: decode_model(doc)?,
+            })
+        }
+        "swap" => {
+            let path = doc
+                .get("path")
+                .and_then(Json::as_str)
+                .ok_or_else(|| ServeError::parse("missing string field 'path'"))?;
+            if path.is_empty() {
+                return Err(ServeError::parse("'path' must be non-empty"));
+            }
+            Ok(Request::Swap {
+                id,
+                model: decode_model(doc)?,
+                path: path.to_string(),
+            })
+        }
+        "info" => Ok(Request::Info { id }),
+        "shutdown" => Ok(Request::Shutdown { id }),
+        other => Err(ServeError::parse(format!(
+            "unknown command '{other}' (expected predict_batch, discover, \
+             discover_streaming, swap, info, shutdown)"
+        ))),
+    }
+}
+
+/// Reads `points` from a parsed document: numbers, plus the
+/// "inf"/"-inf"/"nan" markers the writer side emits for non-finite
+/// coordinates.
+fn points_from_tree(doc: &Json) -> Result<Vec<f64>, ServeError> {
+    let arr = doc
+        .get("points")
+        .and_then(Json::as_array)
+        .ok_or_else(|| ServeError::parse("'points' must be an array of numbers"))?;
+    arr.iter()
+        .enumerate()
+        .map(|(i, v)| reds_metamodel::persist::f64_from_json(v).map_err(|_| bad_point(i)))
+        .collect()
+}
+
+fn bad_point(i: usize) -> ServeError {
+    ServeError::parse(format!(
+        "points[{i}] must be a number (or \"inf\"/\"-inf\"/\"nan\")"
+    ))
 }
 
 /// Decodes the optional `model` field (`None` = the default model).

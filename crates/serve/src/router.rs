@@ -74,16 +74,20 @@ impl Router {
     }
 
     /// Checks a client out of shard `i`'s pool (connecting if the pool
-    /// is dry), runs one call, and returns the client to the pool
+    /// is dry), runs `call` on it, and returns the client to the pool
     /// unless the transport failed.
-    fn call_shard(&self, i: usize, request: &Request) -> Result<Json, ClientError> {
+    fn call_shard(
+        &self,
+        i: usize,
+        call: impl FnOnce(&mut Client) -> Result<Json, ClientError>,
+    ) -> Result<Json, ClientError> {
         let shard = &self.shards[i];
         let pooled = shard.pool.lock().expect("shard pool").pop();
         let mut client = match pooled {
             Some(c) => c,
             None => Client::connect(&*shard.addr)?,
         };
-        let outcome = client.call(request);
+        let outcome = call(&mut client);
         // A structured server error leaves the connection healthy (the
         // reply was framed normally); only transport-level failures
         // poison the pooled connection.
@@ -160,13 +164,10 @@ impl Router {
                     if take == 0 {
                         return None;
                     }
-                    let request = Request::PredictBatch {
-                        id: 1,
-                        points: points[start * m..(start + take) * m].to_vec(),
-                        m,
-                        model: model.map(str::to_string),
-                    };
-                    Some(scope.spawn(move || self.call_shard(i, &request)))
+                    let rows = &points[start * m..(start + take) * m];
+                    Some(scope.spawn(move || {
+                        self.call_shard(i, |c| c.predict_batch_result(model, rows, m))
+                    }))
                 })
                 .collect();
             handles
@@ -202,7 +203,7 @@ impl Router {
     /// runs are indivisible, and every shard serves the same artifact.
     fn route_whole(&self, seed: u64, request: &Request) -> Result<Json, ServeError> {
         let i = (seed % self.shards.len() as u64) as usize;
-        self.call_shard(i, request)
+        self.call_shard(i, |c| c.call(request))
             .map_err(|e| self.shard_error(i, e))
     }
 
@@ -218,7 +219,7 @@ impl Router {
             // version — surfaced as an error so the operator retries
             // until the whole fleet agrees.
             let outcome = self
-                .call_shard(i, &request)
+                .call_shard(i, |c| c.call(&request))
                 .map_err(|e| self.shard_error(i, e))?;
             outcomes.push(outcome);
         }
@@ -230,7 +231,7 @@ impl Router {
         for i in 0..self.shards.len() {
             let request = Request::Info { id: 1 };
             let info = self
-                .call_shard(i, &request)
+                .call_shard(i, |c| c.call(&request))
                 .map_err(|e| self.shard_error(i, e))?;
             infos.push(info);
         }
@@ -284,7 +285,7 @@ impl Router {
             Request::Shutdown { id } => {
                 if self.propagate_shutdown {
                     for i in 0..self.shards.len() {
-                        let _ = self.call_shard(i, &Request::Shutdown { id: 1 });
+                        let _ = self.call_shard(i, |c| c.call(&Request::Shutdown { id: 1 }));
                     }
                 }
                 (
@@ -298,30 +299,7 @@ impl Router {
 
 impl FrameHandler for Router {
     fn handle_frame(&self, line: &str) -> (Json, bool) {
-        let doc = match reds_json::from_str(line) {
-            Ok(doc) => doc,
-            Err(e) => return (error_response(0, &ServeError::parse(e.to_string())), false),
-        };
-        let id = doc
-            .get("id")
-            .and_then(crate::protocol::small_uint)
-            .unwrap_or(0);
-        let request = match Request::from_json(&doc) {
-            Ok(r) => r,
-            Err(e) => return (error_response(id, &e), false),
-        };
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.dispatch(request)));
-        match outcome {
-            Ok(reply) => reply,
-            Err(_) => (
-                error_response(
-                    id,
-                    &ServeError::internal("request handler panicked; see server log"),
-                ),
-                false,
-            ),
-        }
+        crate::protocol::answer_frame(line, |request| self.dispatch(request))
     }
 }
 

@@ -10,7 +10,6 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -539,31 +538,7 @@ impl Service {
     /// panics become `internal` error responses carrying the request's
     /// id, so pipelining clients keep their response correlation.
     pub fn handle_frame(&self, line: &str) -> (Json, bool) {
-        let doc = match reds_json::from_str(line) {
-            Ok(doc) => doc,
-            Err(e) => return (error_response(0, &ServeError::parse(e.to_string())), false),
-        };
-        // Pull the id out even when the rest of the request is bad, so
-        // the client can correlate the failure.
-        let id = doc
-            .get("id")
-            .and_then(crate::protocol::small_uint)
-            .unwrap_or(0);
-        let request = match Request::from_json(&doc) {
-            Ok(r) => r,
-            Err(e) => return (error_response(id, &e), false),
-        };
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| self.dispatch(request)));
-        match outcome {
-            Ok(reply) => reply,
-            Err(_) => (
-                error_response(
-                    id,
-                    &ServeError::internal("request handler panicked; see server log"),
-                ),
-                false,
-            ),
-        }
+        crate::protocol::answer_frame(line, |request| self.dispatch(request))
     }
 
     fn dispatch(&self, request: Request) -> (Json, bool) {
